@@ -1,13 +1,13 @@
 // Parallel entanglement pipeline throughput: serial Encoder vs the
-// wave-scheduled ParallelEncoder at 1/2/4/8 threads (paper §V-B, Fig 10
-// made executable — one wave seals the s buckets of a column on α·s
-// distinct strand heads).
+// strand-pipelined ParallelEncoder at 1/2/4/8 threads (paper §V-B
+// partial writes made executable — each of the s + (α−1)·p strand
+// instances is an independent XOR chain, walked by one worker task).
 //
 // Prints MB/s of ingested data and the speedup over the serial baseline,
 // and cross-checks that the parallel store is byte-identical to the
-// serial one before reporting (a wrong fast encoder is worthless).
-// Scaling is bounded by min(s, threads, cores): on a single-core
-// container every configuration collapses to ~1×.
+// serial one before reporting (a wrong fast encoder is worthless; a
+// mismatch exits 1). Scaling is bounded by min(strands, threads, cores):
+// on a single-core machine every configuration collapses to ~1×.
 //
 //   bench_pipeline_throughput [blocks] [block_size]   (default 20000 4096)
 #include <chrono>
@@ -19,6 +19,7 @@
 #include "core/codec/encoder.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
+#include "pipeline/thread_pool.h"
 
 namespace {
 
@@ -63,23 +64,20 @@ void run(const CodeParams& params, const std::vector<Bytes>& blocks,
   const double serial_time = seconds_since(serial_start);
   std::printf("  %-22s %8.1f MB/s\n", "serial Encoder", mb / serial_time);
 
-  for (const auto schedule :
-       {pipeline::Schedule::kStrands, pipeline::Schedule::kWaves}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{4}, std::size_t{8}}) {
-      pipeline::ConcurrentBlockStore store;
-      pipeline::ParallelEncoder parallel(params, block_size, &store,
-                                         threads, 0, schedule);
-      const auto start = Clock::now();
-      parallel.append_all(blocks);
-      const double time = seconds_since(start);
-      const bool identical = stores_match(serial_store, store);
-      std::printf("  %-8s × %zu thread%s %8.1f MB/s   %5.2fx  %s\n",
-                  pipeline::to_string(schedule), threads,
-                  threads == 1 ? " " : "s", mb / time, serial_time / time,
-                  identical ? "byte-identical" : "MISMATCH!");
-      if (!identical) std::exit(1);
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, std::size_t{8}}) {
+    pipeline::ThreadPool pool(threads);
+    pipeline::ConcurrentBlockStore store;
+    pipeline::ParallelEncoder parallel(params, block_size, &store, &pool);
+    const auto start = Clock::now();
+    parallel.append_all(blocks);
+    const double time = seconds_since(start);
+    const bool identical = stores_match(serial_store, store);
+    std::printf("  strands  × %zu thread%s %8.1f MB/s   %5.2fx  %s\n",
+                threads, threads == 1 ? " " : "s", mb / time,
+                serial_time / time,
+                identical ? "byte-identical" : "MISMATCH!");
+    if (!identical) std::exit(1);
   }
 }
 
@@ -95,8 +93,8 @@ int main(int argc, char** argv) {
   std::printf("hardware threads: %u\n", std::thread::hardware_concurrency());
 
   const auto blocks = make_blocks(count, block_size);
-  // s bounds per-wave parallelism: AE(3,2,5) tops out at 2 concurrent
-  // seals, AE(3,5,5) at 5 (the paper's s = p full-write optimum).
+  // The strand count s + (α−1)·p bounds the parallelism: 12 strand
+  // tasks for AE(3,2,5), 15 for AE(3,5,5).
   run(CodeParams(3, 2, 5), blocks, block_size);
   run(CodeParams(3, 5, 5), blocks, block_size);
   return 0;

@@ -16,9 +16,9 @@
 //   (default 32 4096; --json emits one JSON object per phase and
 //   suppresses the table — the cross-PR perf-tracking format)
 //
-// NOTE: this container is single-core; the windowed win here is batched
-// raw-I/O syscalls and one store lock per batch, not I/O overlap. Run on
-// multicore hardware for the full pipelining effect.
+// On a single core the windowed win is batched raw-I/O syscalls and one
+// store lock per batch; on several cores the I/O overlap with copy-out
+// and repair adds to it.
 #include <unistd.h>
 
 #include <chrono>

@@ -36,6 +36,7 @@
 #include "core/codec/sharded_file_block_store.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_repairer.h"
+#include "pipeline/thread_pool.h"
 
 namespace {
 
@@ -219,8 +220,9 @@ void run_memory(const CodeParams& params, std::size_t count,
       pipeline::ConcurrentBlockStore store;
       fill_from(pristine, store);
       pattern.apply(lat, store);
+      pipeline::ThreadPool pool(threads);
       pipeline::ParallelRepairer repairer(params, count, block_size,
-                                          &store, threads);
+                                          &store, &pool);
       const auto start = Clock::now();
       const RepairReport report = repairer.repair_all();
       const double wall = seconds_since(start);
@@ -271,8 +273,9 @@ void run_file_backed(const CodeParams& params, std::size_t count,
         pattern.apply(lat, *store);
         store->drop_payload_cache();
 
+        pipeline::ThreadPool pool(threads);
         pipeline::ParallelRepairer repairer(params, count, block_size,
-                                            store, threads);
+                                            store, &pool);
         const auto start = Clock::now();
         const RepairReport report = repairer.repair_all();
         const double wall = seconds_since(start);

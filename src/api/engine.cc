@@ -7,32 +7,14 @@
 namespace aec {
 
 Engine::Engine(EngineConfig config)
-    : config_(config),
-      pool_(std::max<std::size_t>(1, config.threads),
-            std::max<std::size_t>(1, config.queue_capacity)) {}
+    : pool_(std::max<std::size_t>(1, config.threads)) {}
 
 std::shared_ptr<Engine> Engine::serial() {
   return std::make_shared<Engine>(EngineConfig{});
 }
 
 std::shared_ptr<Engine> Engine::with_threads(std::size_t threads) {
-  EngineConfig config;
-  config.threads = threads;
-  return std::make_shared<Engine>(config);
-}
-
-std::size_t Engine::ingest_window_blocks() const noexcept {
-  if (config_.ingest_window_blocks > 0) return config_.ingest_window_blocks;
-  return 256 * threads();
-}
-
-std::size_t Engine::read_window_blocks() const noexcept {
-  if (config_.read_window_blocks > 0) return config_.read_window_blocks;
-  return 64;
-}
-
-std::string Engine::store_spec() const {
-  return config_.store_spec.empty() ? "file" : config_.store_spec;
+  return std::make_shared<Engine>(EngineConfig{threads});
 }
 
 std::unique_ptr<CodecSession> Engine::open_session(
@@ -46,14 +28,12 @@ std::unique_ptr<CodecSession> Engine::open_session(
     AEC_CHECK_MSG(ae != nullptr, "streaming codec " << codec->id()
                                                     << " has no session type");
     session = std::make_unique<AeSession>(std::move(ae), store, block_size,
-                                          resume_blocks, &pool_,
-                                          config_.encode_schedule);
+                                          resume_blocks, &pool_);
   } else {
     session = std::make_unique<StripedSession>(std::move(codec), store,
                                                block_size, resume_blocks,
                                                &pool_);
   }
-  session->set_read_window_blocks(read_window_blocks());
   // Shared-owned engines stay alive as long as their sessions (the
   // session runs on this engine's pool); null for stack-owned engines.
   session->engine_keepalive_ = weak_from_this().lock();

@@ -1,11 +1,11 @@
 // Engine — the execution facade of the library.
 //
-// One Engine owns one ThreadPool plus the execution knobs (encode
-// schedule, queue bound, ingest window). Everything that used to take a
-// bare `threads` count (Archive, aectool, the serial/parallel
-// Encoder/Repairer pair selection) now takes an Engine: serial execution
-// IS a 1-thread engine, so there is exactly one code path and the stored
-// bytes are identical at every thread count.
+// One Engine owns one ThreadPool, sized by its only setting, the worker
+// count. Everything that used to take a bare `threads` count (Archive,
+// aectool, the serial/parallel Encoder/Repairer pair selection) now
+// takes an Engine: serial execution IS a 1-thread engine, so there is
+// exactly one code path and the stored bytes are identical at every
+// thread count.
 //
 // open_session() is the single dispatch point from a Codec to its
 // executor: streaming codecs (AE) get the lattice pipeline, striped
@@ -18,12 +18,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "api/codec.h"
 #include "api/session.h"
 #include "obs/metrics.h"
-#include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
 
 namespace aec {
@@ -32,22 +30,6 @@ struct EngineConfig {
   /// Worker threads (≥ 1). 1 reproduces the serial byte stream with one
   /// worker; > 1 turns on wave/strand parallelism everywhere.
   std::size_t threads = 1;
-  /// How AE appends distribute entanglement work (see parallel_encoder.h).
-  pipeline::Schedule encode_schedule = pipeline::Schedule::kStrands;
-  /// Pending-task bound of the pool (backpressure).
-  std::size_t queue_capacity = pipeline::ThreadPool::kDefaultQueueCapacity;
-  /// Blocks a streaming FileWriter buffers before flushing a window into
-  /// the session — the peak-memory knob of chunked ingest. 0 = default
-  /// (256 blocks per worker, at least 256).
-  std::size_t ingest_window_blocks = 0;
-  /// Lookahead window (blocks) of the pipelined read path — how far a
-  /// session's read_blocks/FileReader prefetches ahead of consumption.
-  /// 0 = default (64).
-  std::size_t read_window_blocks = 0;
-  /// Default block-store backend for archives created through this
-  /// engine ("file", "sharded(8)", "mem", … — see store_registry.h).
-  /// Empty means "file"; an explicit Archive::create store spec wins.
-  std::string store_spec;
 };
 
 class Engine : public std::enable_shared_from_this<Engine> {
@@ -56,22 +38,19 @@ class Engine : public std::enable_shared_from_this<Engine> {
 
   /// 1-thread engine (the serial path).
   static std::shared_ptr<Engine> serial();
-  /// Engine with `threads` workers, defaults elsewhere.
+  /// Engine with `threads` workers.
   static std::shared_ptr<Engine> with_threads(std::size_t threads);
 
-  const EngineConfig& config() const noexcept { return config_; }
   std::size_t threads() const noexcept { return pool_.thread_count(); }
   bool parallel() const noexcept { return threads() > 1; }
   pipeline::ThreadPool& pool() noexcept { return pool_; }
 
-  /// Resolved ingest window (blocks) for streaming writers.
-  std::size_t ingest_window_blocks() const noexcept;
-
-  /// Resolved read lookahead window (blocks) for streaming readers.
-  std::size_t read_window_blocks() const noexcept;
-
-  /// Resolved default store spec for archives ("file" unless configured).
-  std::string store_spec() const;
+  /// Blocks a streaming FileWriter buffers before flushing a window into
+  /// the session — the peak-memory bound of chunked ingest: 256 per
+  /// worker.
+  std::size_t ingest_window_blocks() const noexcept {
+    return 256 * threads();
+  }
 
   /// Snapshot of the process-wide metrics registry (pool queue waits,
   /// encode/repair wave timings, store cache tallies, …). Exact once the
@@ -92,7 +71,6 @@ class Engine : public std::enable_shared_from_this<Engine> {
       std::size_t block_size, std::uint64_t resume_blocks = 0);
 
  private:
-  EngineConfig config_;
   pipeline::ThreadPool pool_;
 };
 

@@ -87,13 +87,12 @@ std::vector<std::optional<Bytes>> CodecSession::read_blocks(
 
 AeSession::AeSession(std::shared_ptr<const AeCodec> codec, BlockStore* store,
                      std::size_t block_size, std::uint64_t resume_blocks,
-                     pipeline::ThreadPool* pool, pipeline::Schedule schedule)
+                     pipeline::ThreadPool* pool)
     : codec_(std::move(codec)),
       store_(store),
       block_size_(block_size),
       pool_(pool),
-      encoder_(codec_->params(), block_size, store, pool, resume_blocks,
-               schedule) {}
+      encoder_(codec_->params(), block_size, store, pool, resume_blocks) {}
 
 void AeSession::append(const std::vector<Bytes>& blocks) {
   encoder_.append_all(blocks);
@@ -132,7 +131,7 @@ std::vector<std::optional<Bytes>> AeSession::read_blocks(
                     static_cast<std::uint64_t>(first) - 1 + count <= size(),
                 "read_blocks: range [" << first << ", " << first + count - 1
                                        << "] outside [1, " << size() << "]");
-  const std::size_t w = window > 0 ? window : read_window_blocks();
+  const std::size_t w = window > 0 ? window : kReadWindowBlocks;
   return windowed_read(
       *store_, pool_, first, count, w,
       [this](NodeIndex i) { return repairer().read_node(i); });
@@ -435,7 +434,7 @@ std::vector<std::optional<Bytes>> StripedSession::read_blocks(
                     static_cast<std::uint64_t>(first) - 1 + count <= count_,
                 "read_blocks: range [" << first << ", " << first + count - 1
                                        << "] outside [1, " << count_ << "]");
-  const std::size_t w = window > 0 ? window : read_window_blocks();
+  const std::size_t w = window > 0 ? window : kReadWindowBlocks;
   return windowed_read(*store_, pool_, first, count, w, [this](NodeIndex i) {
     repair_stripe(static_cast<std::uint64_t>(i - 1) / k_);
     return store_->get_copy(BlockKey::data(i));

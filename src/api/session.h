@@ -74,21 +74,14 @@ class CodecSession {
   /// up to `window` ahead of consumption through the engine pool
   /// (overlapping store I/O with copy-out and repair work); damaged
   /// blocks fall back to repair-on-read with the repair plan's inputs
-  /// batch-prefetched. `window` = 0 uses the session default (see
-  /// set_read_window_blocks). The base implementation is the unwindowed
-  /// per-block loop — the baseline the conformance tests and
-  /// bench_read_throughput compare against.
+  /// batch-prefetched. `window` = 0 uses kReadWindowBlocks. The base
+  /// implementation is the unwindowed per-block loop — the baseline the
+  /// conformance tests and bench_read_throughput compare against.
   virtual std::vector<std::optional<Bytes>> read_blocks(
       NodeIndex first, std::uint64_t count, std::size_t window = 0);
 
-  /// Default lookahead window (blocks) for read_blocks(window = 0).
-  /// Engines stamp their resolved default on every session they open.
-  void set_read_window_blocks(std::size_t window) noexcept {
-    if (window > 0) read_window_blocks_ = window;
-  }
-  std::size_t read_window_blocks() const noexcept {
-    return read_window_blocks_;
-  }
+  /// Default lookahead window (blocks) of read_blocks and FileReader.
+  static constexpr std::size_t kReadWindowBlocks = 64;
 
   /// Repairs everything recoverable; reports the paper's round/residue
   /// accounting (striped codecs always finish in one round).
@@ -120,7 +113,6 @@ class CodecSession {
   /// session runs on the engine's pool). Null for stack-owned engines,
   /// which must simply outlive the session.
   std::shared_ptr<const void> engine_keepalive_;
-  std::size_t read_window_blocks_ = 64;
 };
 
 /// Streaming AE lattice session.
@@ -130,8 +122,7 @@ class AeSession final : public CodecSession {
   /// thread-safe put()/get_copy() when the pool has > 1 worker.
   AeSession(std::shared_ptr<const AeCodec> codec, BlockStore* store,
             std::size_t block_size, std::uint64_t resume_blocks,
-            pipeline::ThreadPool* pool,
-            pipeline::Schedule schedule = pipeline::Schedule::kStrands);
+            pipeline::ThreadPool* pool);
 
   const Codec& codec() const override { return *codec_; }
   std::size_t block_size() const override { return block_size_; }

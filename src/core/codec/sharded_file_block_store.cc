@@ -181,9 +181,10 @@ void ShardedFileBlockStore::rescan() {
       if (!fs::exists(dir)) return;
       for (const auto& entry : fs::directory_iterator(dir)) {
         if (!entry.is_regular_file()) continue;
+        // `end` points into the name, so the name must outlive the check.
+        const fs::path name = entry.path().filename();
         char* end = nullptr;
-        const long long idx =
-            std::strtoll(entry.path().filename().c_str(), &end, 10);
+        const long long idx = std::strtoll(name.c_str(), &end, 10);
         if (end == nullptr || *end != '\0' || idx <= 0) continue;  // foreign
         shard.index[BlockKey{kind, cls, idx}] = true;
       }

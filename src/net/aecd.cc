@@ -27,10 +27,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
 #include "common/check.h"
+#include "common/parse_number.h"
 #include "net/server.h"
 #include "obs/log.h"
 #include "obs/trace.h"
@@ -58,18 +60,6 @@ namespace {
   std::exit(2);
 }
 
-std::uint64_t parse_number(const std::string& key, const std::string& text) {
-  const bool numeric =
-      !text.empty() && text.size() <= 9 &&
-      text.find_first_not_of("0123456789") == std::string::npos;
-  if (!numeric) {
-    std::fprintf(stderr, "error: %s wants a number, got '%s'\n", key.c_str(),
-                 text.c_str());
-    usage();
-  }
-  return std::stoull(text);
-}
-
 int run(int argc, char** argv) {
   std::map<std::string, std::string> options;
   for (int i = 1; i < argc; ++i) {
@@ -94,19 +84,24 @@ int run(int argc, char** argv) {
     if (key == "--root") {
       continue;
     } else if (key == "--port") {
-      config.port = static_cast<std::uint16_t>(parse_number(key, value));
+      config.port = static_cast<std::uint16_t>(
+          aec::parse_uint_option(key, value, 0, 65535));
     } else if (key == "--bind") {
       config.bind_address = value;
     } else if (key == "--threads") {
-      threads = static_cast<std::size_t>(parse_number(key, value));
+      threads = static_cast<std::size_t>(
+          aec::parse_uint_option(key, value, 1, 1024));
     } else if (key == "--max-inflight") {
-      config.max_inflight = static_cast<std::size_t>(parse_number(key, value));
+      config.max_inflight = static_cast<std::size_t>(
+          aec::parse_uint_option(key, value, 1, 1'000'000));
     } else if (key == "--idle-timeout-ms") {
-      config.idle_timeout_ms = static_cast<int>(parse_number(key, value));
+      config.idle_timeout_ms = static_cast<int>(aec::parse_uint_option(
+          key, value, 0, std::numeric_limits<int>::max()));
     } else if (key == "--port-file") {
       port_file = value;
     } else if (key == "--http-port") {
-      config.http_port = static_cast<int>(parse_number(key, value));
+      config.http_port = static_cast<int>(
+          aec::parse_uint_option(key, value, 0, 65535));
     } else if (key == "--http-port-file") {
       http_port_file = value;
     } else if (key == "--log-level") {

@@ -6,8 +6,8 @@
 // and dispatched to the Engine's shared ThreadPool, so store I/O (one
 // file open/read per block on file/sharded/cluster backends) overlaps
 // with the consumer's copy-out and XOR repair work — the pipelined
-// decoding idea of RapidRAID (PAPERS.md) applied to plain reads. On the
-// 1-core CI box the win survives as batched syscalls and one store lock
+// decoding idea of RapidRAID (PAPERS.md) applied to plain reads. Even on
+// a single core the win survives as batched syscalls and one store lock
 // per batch instead of per block.
 //
 // Concurrency/error model: each in-flight batch owns its own

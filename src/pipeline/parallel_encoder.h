@@ -1,30 +1,19 @@
-// Wave-scheduled multi-threaded entanglement (paper §V-B, Fig 10).
+// Strand-pipelined multi-threaded entanglement (paper §V-B, Fig 10).
 //
-// The WritePlan observation made executable: a column of s nodes touches
-// α·s *distinct* strand instances (guaranteed by the validity condition
-// p ≥ s), so the s bucket-seals of one column can run concurrently — one
-// wave. Two schedules, both byte-identical to the serial Encoder:
+// The paper's write model lets helical parities of later columns be
+// computed early (partial writes): with a whole batch in hand, each of
+// the s + (α−1)·p strand instances is an independent XOR chain over
+// read-only data blocks. append_all therefore runs one worker task per
+// strand instance across the entire batch, plus a few tasks that store
+// the data blocks, and the only barrier is at the end of the batch. The
+// operations and their per-strand order are exactly the serial
+// Encoder's, so the output is byte-identical to it.
 //
-//   kWaves   — the paper's full-write schedule, consumed directly from
-//              plan_full_writes(): dispatch the bucket-seals of each wave
-//              (column) to workers, barrier, advance. Every strand head
-//              moves at most once per wave. Simple, but the barrier runs
-//              once per column.
-//   kStrands — the partial-write generalization (§V-B: helical parities
-//              of later columns may be computed early): with the whole
-//              batch in hand, each of the s + (α−1)·p strand instances is
-//              an independent XOR chain over read-only data blocks, so
-//              one worker task walks one strand across the entire window
-//              and the only barrier is at the end of the batch. Same
-//              operations, same partial order, far better wall-clock.
-//              This is the default.
-//
-// Ownership discipline that makes the output byte-identical to the
-// serial Encoder without any locking on the hot path:
+// Ownership discipline that makes that hold without any locking on the
+// hot path:
 //   · every strand instance has one fixed head slot (s + (α−1)·p total,
-//     the paper's §IV-A memory floor); a task exclusively owns the slots
-//     it advances — per node within a wave (kWaves) or per strand across
-//     the window (kStrands);
+//     the paper's §IV-A memory floor), and the task walking a strand
+//     exclusively owns that strand's slot for the batch;
 //   · cache misses (fresh strands, crash recovery via drop_head_cache())
 //     are resolved by the coordinator *before* workers run, so workers
 //     never read the store — they only put().
@@ -38,56 +27,34 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "core/codec/encoder.h"
-#include "core/codec/write_planner.h"
 #include "obs/metrics.h"
 #include "pipeline/thread_pool.h"
 
 namespace aec::pipeline {
 
-/// How append_all distributes entanglement work across workers.
-enum class Schedule {
-  kStrands,  ///< one task per strand instance per batch (default)
-  kWaves,    ///< one task per node per WritePlan wave (paper Fig 10)
-};
-
-const char* to_string(Schedule schedule) noexcept;
-
 class ParallelEncoder {
  public:
-  /// `threads` ≥ 1 workers (pool owned by the encoder); `store` needs a
-  /// thread-safe put() and must outlive the encoder. `resume_count` > 0
-  /// resumes an existing lattice (heads re-fetched from the store between
-  /// batches, on demand).
-  ParallelEncoder(CodeParams params, std::size_t block_size,
-                  BlockStore* store, std::size_t threads,
-                  std::uint64_t resume_count = 0,
-                  Schedule schedule = Schedule::kStrands);
-
-  /// Shares an externally owned worker pool (the api::Engine shape). The
-  /// pool must outlive the encoder and must not be waited on concurrently
-  /// by another coordinator during append_all (wait_idle is pool-global).
+  /// Runs on `pool`, which must outlive the encoder and must not be
+  /// waited on concurrently by another coordinator during append_all
+  /// (wait_idle is pool-global). `store` needs a thread-safe put() and
+  /// must outlive the encoder. `resume_count` > 0 resumes an existing
+  /// lattice (heads re-fetched from the store between batches, on
+  /// demand).
   ParallelEncoder(CodeParams params, std::size_t block_size,
                   BlockStore* store, ThreadPool* pool,
-                  std::uint64_t resume_count = 0,
-                  Schedule schedule = Schedule::kStrands);
+                  std::uint64_t resume_count = 0);
 
   /// Entangles `blocks` in order. Results come back in input order,
   /// parities in class order — exactly what Encoder::append_all returns,
   /// and every stored block is byte-identical to the serial encoding.
   std::vector<EncodeResult> append_all(const std::vector<Bytes>& blocks);
 
-  /// Single-block append (runs on the coordinator; no dispatch).
-  EncodeResult append(BytesView data);
-
   const CodeParams& params() const noexcept { return params_; }
   std::size_t block_size() const noexcept { return block_size_; }
-  std::size_t thread_count() const noexcept { return pool_->thread_count(); }
-  Schedule schedule() const noexcept { return schedule_; }
 
   /// Number of data blocks entangled so far.
   std::uint64_t size() const noexcept { return count_; }
@@ -114,24 +81,12 @@ class ParallelEncoder {
   /// while no worker is in flight.
   void resolve_head(const Lattice& lat, NodeIndex i, StrandClass cls);
 
-  /// Seals node i's bucket: α in-place head XORs + α+1 store puts.
-  /// kWaves worker body; touches only this node's slots.
-  EncodeResult seal_node(const Lattice& lat, NodeIndex i, BytesView data);
-
-  void append_strand_scheduled(const std::vector<Bytes>& blocks,
-                               std::vector<EncodeResult>& results);
-  void append_wave_scheduled(const std::vector<Bytes>& blocks,
-                             std::vector<EncodeResult>& results);
-
   CodeParams params_;
   std::size_t block_size_;
   BlockStore* store_;
-  Schedule schedule_;
   std::uint64_t count_ = 0;
   /// heads_[class][strand_id]; sized s / p / p (unused classes empty).
   std::vector<Bytes> heads_[3];
-  /// Set only by the owning constructor; pool_ points here or outside.
-  std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   /// Global-registry metrics, resolved once at construction; observed
   /// at batch granularity (append_all), never per block.

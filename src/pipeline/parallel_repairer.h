@@ -4,10 +4,9 @@
 // planner's full-write waves: wave w contains exactly the blocks whose
 // planned inputs are intact or repaired in waves < w, so the steps of a
 // wave are mutually independent single XORs. This executor dispatches
-// each wave across a ThreadPool with a barrier between waves — the same
-// shape as ParallelEncoder's kWaves schedule — and is byte-identical to
-// the serial Decoder::repair_all, including the RepairReport round
-// structure (both are projections of the same plan).
+// each wave across a ThreadPool with a barrier between waves, and is
+// byte-identical to the serial Decoder::repair_all, including the
+// RepairReport round structure (both are projections of the same plan).
 //
 // Safety discipline (no locking on the hot path beyond the store's own):
 //   · every step's inputs were chosen by the planner against wave-start
@@ -25,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "common/bytes.h"
@@ -38,15 +36,8 @@ namespace aec::pipeline {
 class ParallelRepairer {
  public:
   /// Views the first n_nodes positions of an open lattice stored in
-  /// `store` (must outlive the repairer, and must be thread-safe when
-  /// `threads` > 1). Spawns `threads` ≥ 1 owned workers.
-  ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
-                   std::size_t block_size, BlockStore* store,
-                   std::size_t threads);
-
-  /// Shares an externally owned worker pool (the api::Engine shape). The
-  /// pool must outlive the repairer; the store must be thread-safe when
-  /// the pool has more than one worker.
+  /// `store` and runs on `pool`. Both must outlive the repairer; the
+  /// store must be thread-safe when the pool has more than one worker.
   ParallelRepairer(CodeParams params, std::uint64_t n_nodes,
                    std::size_t block_size, BlockStore* store,
                    ThreadPool* pool);
@@ -73,7 +64,6 @@ class ParallelRepairer {
 
   const Lattice& lattice() const noexcept { return lattice_; }
   std::size_t block_size() const noexcept { return block_size_; }
-  std::size_t thread_count() const noexcept { return pool_->thread_count(); }
 
  private:
   /// Dispatches one wave in contiguous chunks and waits at the barrier.
@@ -93,8 +83,6 @@ class ParallelRepairer {
   std::size_t block_size_;
   BlockStore* store_;
   const AvailabilityIndex* avail_index_ = nullptr;
-  /// Set only by the owning constructor; pool_ points here or outside.
-  std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   /// Global-registry metrics, resolved once at construction; observed
   /// at wave granularity (one clock pair + a few fetch_adds per wave).

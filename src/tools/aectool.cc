@@ -42,12 +42,14 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
 
 #include "common/check.h"
 #include "common/cpu.h"
+#include "common/parse_number.h"
 #include "core/codec/store_registry.h"
 #include "obs/trace.h"
 #include "tools/archive.h"
@@ -56,6 +58,11 @@ namespace {
 
 using namespace aec;
 using namespace aec::tools;
+
+constexpr std::uint64_t kMaxBlockSize = std::uint64_t{1} << 30;
+constexpr std::uint64_t kMaxThreads = 1024;
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 [[noreturn]] void usage() {
   std::fprintf(
@@ -196,6 +203,15 @@ int run(const Args& args) {
     }
     return it->second;
   };
+  // Optional numeric option: `fallback` when absent, else checked
+  // against [min, max].
+  const auto uint_option = [&](const char* key, std::uint64_t fallback,
+                               std::uint64_t min, std::uint64_t max) {
+    const auto it = args.options.find(key);
+    return it == args.options.end()
+               ? fallback
+               : parse_uint_option(key, it->second, min, max);
+  };
   const std::string root = option("--root");
 
   if (args.command == "init") {
@@ -216,11 +232,8 @@ int run(const Args& args) {
                                    "needs file, sharded(N) or a cluster "
                                    "of them");
     }
-    const auto bs_it = args.options.find("--block-size");
-    const std::size_t block_size =
-        bs_it == args.options.end()
-            ? 4096
-            : static_cast<std::size_t>(std::stoull(bs_it->second));
+    const auto block_size = static_cast<std::size_t>(
+        uint_option("--block-size", 4096, 1, kMaxBlockSize));
     auto archive = Archive::create(root, spec, block_size, {}, store_spec);
     std::printf("initialized %s archive at %s (store %s, block size %zu)\n",
                 archive->codec().id().c_str(), root.c_str(),
@@ -231,19 +244,8 @@ int run(const Args& args) {
   // --threads N (default 1) sizes the engine's worker pool: parallel
   // entanglement/stripe encode on put, wave-parallel repair on
   // get/scrub. The remaining commands run serially.
-  const auto threads_it = args.options.find("--threads");
-  std::size_t threads = 1;
-  if (threads_it != args.options.end()) {
-    const std::string& text = threads_it->second;
-    const bool numeric =
-        !text.empty() && text.size() <= 4 &&
-        text.find_first_not_of("0123456789") == std::string::npos;
-    AEC_CHECK_MSG(numeric,
-                  "--threads wants a small number, got '" << text << "'");
-    threads = static_cast<std::size_t>(std::stoull(text));
-    AEC_CHECK_MSG(threads >= 1 && threads <= 1024,
-                  "--threads must be in [1, 1024], got " << text);
-  }
+  const auto threads =
+      static_cast<std::size_t>(uint_option("--threads", 1, 1, kMaxThreads));
   auto archive = Archive::open(root, Engine::with_threads(threads));
 
   if (args.command == "put") {
@@ -428,10 +430,9 @@ int run(const Args& args) {
     return report.repair.nodes_unrecovered == 0 ? 0 : 1;
   }
   if (args.command == "damage") {
-    const double fraction = std::stod(option("--fraction"));
-    const auto seed_it = args.options.find("--seed");
-    const std::uint64_t seed =
-        seed_it == args.options.end() ? 1 : std::stoull(seed_it->second);
+    const double fraction =
+        parse_double_option("--fraction", option("--fraction"), 0, 1);
+    const std::uint64_t seed = uint_option("--seed", 1, 0, kU64Max);
     const std::uint64_t destroyed = archive->inject_damage(fraction, seed);
     std::printf("destroyed %llu block file(s)\n",
                 static_cast<unsigned long long>(destroyed));
@@ -467,13 +468,8 @@ int run(const Args& args) {
                     cluster->node_domain(k).c_str());
       return 0;
     }
-    const std::string& node_text = option("--node");
-    const bool numeric =
-        !node_text.empty() && node_text.size() <= 4 &&
-        node_text.find_first_not_of("0123456789") == std::string::npos;
-    AEC_CHECK_MSG(numeric, "--node wants a node id, got '" << node_text
-                                                           << "'");
-    const auto node = static_cast<std::uint32_t>(std::stoul(node_text));
+    const auto node = static_cast<std::uint32_t>(
+        parse_uint_option("--node", option("--node"), 0, kU32Max));
     if (sub == "fail") {
       archive->fail_node(node);
       std::printf("node %u is down (%llu block(s) unavailable)\n", node,
@@ -519,6 +515,8 @@ int run(const Args& args) {
       usage();
     }
     const std::string& sub = args.positional[0];
+    const std::uint64_t request_id =
+        uint_option("--request-id", 0, 0, kU64Max);
     obs::TraceRing& ring = obs::TraceRing::global();
     ring.enable();
     if (sub == "scrub") {
@@ -537,10 +535,6 @@ int run(const Args& args) {
       usage();
     }
     ring.disable();
-    std::uint64_t request_id = 0;
-    if (const auto id_it = args.options.find("--request-id");
-        id_it != args.options.end())
-      request_id = std::stoull(id_it->second);
     const auto out_it = args.options.find("--out");
     if (out_it == args.options.end()) {
       ring.dump_jsonl(stdout, request_id);

@@ -251,8 +251,7 @@ FileReader::FileReader(Archive* archive, const FileEntry& entry,
       // what distinguishes "empty" from "irrecoverably damaged".
       total_blocks_(std::max<std::uint64_t>(
           1, entry.block_count(archive->block_size()))),
-      window_(window > 0 ? window
-                         : archive->engine().read_window_blocks()) {}
+      window_(window > 0 ? window : CodecSession::kReadWindowBlocks) {}
 
 FileReader::FileReader(FileReader&& other) noexcept
     : archive_(other.archive_),
@@ -369,9 +368,7 @@ std::unique_ptr<Archive> Archive::create(fs::path root,
                 "archive already exists at " << root.string());
   AEC_CHECK_MSG(block_size > 0, "block size must be positive");
   std::shared_ptr<const Codec> codec = make_codec(codec_spec);
-  std::string resolved_store = store_spec;
-  if (resolved_store.empty())
-    resolved_store = engine ? engine->store_spec() : "file";
+  std::string resolved_store = store_spec.empty() ? "file" : store_spec;
   // Fail before touching the disk where possible: syntax and family must
   // resolve here; factory-level failures (e.g. a bad shard count) are
   // caught below and the root we created is removed again.

@@ -197,9 +197,8 @@ class Archive {
   /// Creates a fresh archive (root must not already hold a manifest).
   /// `codec_spec` is resolved through the CodecRegistry ("AE(3,2,5)",
   /// "RS(10,4)", "REP(3)", …) and `store_spec` through the StoreRegistry
-  /// ("file", "sharded(8)", "mem"; empty = the engine's default, which
-  /// is "file" unless configured). A null `engine` means
-  /// Engine::serial(). The engine is a per-process execution choice, not
+  /// ("file", "sharded(8)", "mem"; empty = "file"). A null `engine`
+  /// means Engine::serial(). The engine is a per-process execution choice, not
   /// an archive property — the stored bytes are identical for every
   /// engine; the store spec IS an archive property and is recorded in
   /// the manifest.
@@ -258,8 +257,9 @@ class Archive {
   std::optional<Bytes> read_file(const std::string& name);
 
   /// Opens a streaming reader for an archived file (CheckError when the
-  /// name is unknown). `window` is the lookahead in blocks; 0 = the
-  /// engine's resolved default. Multiple readers may be open at once.
+  /// name is unknown). `window` is the lookahead in blocks; 0 =
+  /// CodecSession::kReadWindowBlocks. Multiple readers may be open at
+  /// once.
   FileReader open_reader(const std::string& name, std::size_t window = 0);
 
   /// The manifest entry for `name`, or nullptr — O(1) via the name

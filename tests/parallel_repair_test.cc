@@ -23,6 +23,7 @@
 #include "core/codec/repair_planner.h"
 #include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_repairer.h"
+#include "pipeline/thread_pool.h"
 #include "tools/archive.h"
 
 namespace aec {
@@ -268,9 +269,9 @@ TEST_P(ParallelRepairerEquivalence, ByteIdenticalToSerialRepairAll) {
 
   Decoder dec(params, n, kBlockSize, &serial_store);
   const RepairReport serial = dec.repair_all();
+  pipeline::ThreadPool pool(static_cast<std::size_t>(threads));
   pipeline::ParallelRepairer repairer(params, n, kBlockSize,
-                                      &parallel_store,
-                                      static_cast<std::size_t>(threads));
+                                      &parallel_store, &pool);
   const RepairReport parallel = repairer.repair_all();
 
   // Identical round structure and residue accounting.
@@ -328,8 +329,9 @@ TEST(ParallelRepairer, ReadNodeRepairsThroughDamagedNeighbourhood) {
     for (const Edge& e : lat.incident_edges(100))
       store.erase(BlockKey::parity(e));
 
+    pipeline::ThreadPool pool(threads);
     pipeline::ParallelRepairer repairer(params, n, kBlockSize, &store,
-                                        threads);
+                                        &pool);
     const auto value = repairer.read_node(100);
     ASSERT_TRUE(value.has_value()) << threads << " threads";
     EXPECT_EQ(*value, truth[99]);
@@ -346,7 +348,8 @@ TEST(ParallelRepairer, ReadNodeIrrecoverableReturnsNullopt) {
   store.erase(BlockKey::data(31));
   store.erase(BlockKey::parity(Edge{StrandClass::kHorizontal, 30}));
 
-  pipeline::ParallelRepairer repairer(params, 60, kBlockSize, &store, 4);
+  pipeline::ThreadPool pool(4);
+  pipeline::ParallelRepairer repairer(params, 60, kBlockSize, &store, &pool);
   EXPECT_FALSE(repairer.read_node(30).has_value());
   EXPECT_FALSE(repairer.read_node(31).has_value());
 }
@@ -360,7 +363,8 @@ TEST(ParallelRepairer, ReportCarriesThroughput) {
   const Lattice lat(params, 300, Lattice::Boundary::kOpen);
   erase_random(lat, 0.2, 5, store);
 
-  pipeline::ParallelRepairer repairer(params, 300, kBlockSize, &store, 2);
+  pipeline::ThreadPool pool(2);
+  pipeline::ParallelRepairer repairer(params, 300, kBlockSize, &store, &pool);
   const RepairReport report = repairer.repair_all();
   EXPECT_GT(report.blocks_repaired_total(), 0u);
   EXPECT_GT(report.wall_seconds, 0.0);

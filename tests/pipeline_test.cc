@@ -1,7 +1,8 @@
 // Parallel entanglement pipeline: ThreadPool, ConcurrentBlockStore and
 // ParallelEncoder. The load-bearing property is byte-identity — the
-// wave-scheduled encoder must produce exactly the blocks the serial
-// Encoder produces (paper §V-B: waves reorder work, never results).
+// strand-pipelined encoder must produce exactly the blocks the serial
+// Encoder produces (paper §V-B: partial writes reorder work, never
+// results).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -174,19 +175,19 @@ struct EquivalenceCase {
   CodeParams params;
   std::size_t threads;
   std::size_t blocks;
-  pipeline::Schedule schedule = pipeline::Schedule::kStrands;
 };
 
 class ParallelEncoderEquivalence
     : public ::testing::TestWithParam<EquivalenceCase> {};
 
 TEST_P(ParallelEncoderEquivalence, ByteIdenticalToSerialEncoder) {
-  const auto& [params, threads, count, schedule] = GetParam();
+  const auto& [params, threads, count] = GetParam();
   const auto blocks = random_blocks(count, 101);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
   ConcurrentBlockStore store;
-  ParallelEncoder enc(params, kBlockSize, &store, threads, 0, schedule);
+  ThreadPool pool(threads);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
   const auto results = enc.append_all(blocks);
 
   ASSERT_EQ(results.size(), blocks.size());
@@ -200,33 +201,23 @@ std::string case_name(
          std::to_string(info.param.params.s()) + "_" +
          std::to_string(info.param.params.p()) + "_t" +
          std::to_string(info.param.threads) + "_n" +
-         std::to_string(info.param.blocks) + "_" +
-         pipeline::to_string(info.param.schedule);
+         std::to_string(info.param.blocks);
 }
 
-constexpr auto kStrands = pipeline::Schedule::kStrands;
-constexpr auto kWaves = pipeline::Schedule::kWaves;
-
 INSTANTIATE_TEST_SUITE_P(
-    WaveScheduling, ParallelEncoderEquivalence,
+    StrandScheduling, ParallelEncoderEquivalence,
     ::testing::Values(
         // The acceptance grid: AE(3,2,5) and AE(3,5,5) across ≥ 10k
         // blocks at 1, 2 and 8 threads. Counts are offset from multiples
-        // of s so the last wave is a partial column.
+        // of s so the last batch ends mid-column.
         EquivalenceCase{CodeParams(3, 2, 5), 1, 10001},
         EquivalenceCase{CodeParams(3, 2, 5), 2, 10001},
         EquivalenceCase{CodeParams(3, 2, 5), 8, 10001},
         EquivalenceCase{CodeParams(3, 5, 5), 1, 10003},
         EquivalenceCase{CodeParams(3, 5, 5), 2, 10003},
         EquivalenceCase{CodeParams(3, 5, 5), 8, 10003},
-        // The paper-literal wave schedule (one barrier per column).
-        EquivalenceCase{CodeParams(3, 2, 5), 2, 10001, kWaves},
-        EquivalenceCase{CodeParams(3, 2, 5), 8, 2001, kWaves},
-        EquivalenceCase{CodeParams(3, 5, 5), 4, 10003, kWaves},
-        EquivalenceCase{CodeParams(2, 2, 2), 4, 333, kWaves},
         // Degenerate and small shapes.
         EquivalenceCase{CodeParams::single(), 4, 257},
-        EquivalenceCase{CodeParams::single(), 4, 101, kWaves},
         EquivalenceCase{CodeParams(2, 2, 2), 4, 333},
         EquivalenceCase{CodeParams(3, 5, 7), 3, 1234}),
     case_name);
@@ -240,7 +231,8 @@ TEST(ParallelEncoder, ResultsMatchSerialAppendResults) {
   const auto expected = serial.append_all(blocks);
 
   ConcurrentBlockStore store;
-  ParallelEncoder parallel(params, kBlockSize, &store, 4);
+  ThreadPool pool(4);
+  ParallelEncoder parallel(params, kBlockSize, &store, &pool);
   const auto actual = parallel.append_all(blocks);
 
   ASSERT_EQ(actual.size(), expected.size());
@@ -250,23 +242,25 @@ TEST(ParallelEncoder, ResultsMatchSerialAppendResults) {
   }
 }
 
-TEST(ParallelEncoder, SingleAppendInterleavesWithBatches) {
+TEST(ParallelEncoder, SingleBlockBatchesInterleaveWithBatches) {
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(100, 23);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
   ConcurrentBlockStore store;
-  ParallelEncoder enc(params, kBlockSize, &store, 2);
-  enc.append(blocks[0]);
+  ThreadPool pool(2);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
+  enc.append_all({blocks[0]});
   enc.append_all({blocks.begin() + 1, blocks.begin() + 60});
-  for (std::size_t i = 60; i < blocks.size(); ++i) enc.append(blocks[i]);
+  for (std::size_t i = 60; i < blocks.size(); ++i) enc.append_all({blocks[i]});
   expect_stores_identical(expected, store);
 }
 
 TEST(ParallelEncoder, HeadCacheBoundedByStrandCount) {
   const CodeParams params(3, 5, 7);
   ConcurrentBlockStore store;
-  ParallelEncoder enc(params, kBlockSize, &store, 4);
+  ThreadPool pool(4);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
   enc.append_all(random_blocks(300, 31));
   EXPECT_EQ(enc.cached_heads(), params.total_strands());
 }
@@ -274,27 +268,26 @@ TEST(ParallelEncoder, HeadCacheBoundedByStrandCount) {
 TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
   // Dropping the head cache mid-stream (broker crash, paper §IV-A) must
   // not change a single byte: heads are re-fetched from the store at the
-  // next wave.
+  // next batch.
   const CodeParams params(3, 2, 5);
   const auto blocks = random_blocks(500, 57);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
-  for (const auto schedule : {kStrands, kWaves}) {
-    ConcurrentBlockStore store;
-    ParallelEncoder enc(params, kBlockSize, &store, 4, 0, schedule);
-    std::size_t done = 0;
-    const std::size_t chunks[] = {1, 99, 3, 250, 147};  // ragged splits
-    for (const std::size_t chunk : chunks) {
-      enc.append_all(
-          {blocks.begin() + static_cast<std::ptrdiff_t>(done),
-           blocks.begin() + static_cast<std::ptrdiff_t>(done + chunk)});
-      done += chunk;
-      enc.drop_head_cache();
-      EXPECT_EQ(enc.cached_heads(), 0u);
-    }
-    ASSERT_EQ(done, blocks.size());
-    expect_stores_identical(expected, store);
+  ConcurrentBlockStore store;
+  ThreadPool pool(4);
+  ParallelEncoder enc(params, kBlockSize, &store, &pool);
+  std::size_t done = 0;
+  const std::size_t chunks[] = {1, 99, 3, 250, 147};  // ragged splits
+  for (const std::size_t chunk : chunks) {
+    enc.append_all(
+        {blocks.begin() + static_cast<std::ptrdiff_t>(done),
+         blocks.begin() + static_cast<std::ptrdiff_t>(done + chunk)});
+    done += chunk;
+    enc.drop_head_cache();
+    EXPECT_EQ(enc.cached_heads(), 0u);
   }
+  ASSERT_EQ(done, blocks.size());
+  expect_stores_identical(expected, store);
 }
 
 TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
@@ -302,25 +295,25 @@ TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   const auto blocks = random_blocks(612, 71);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
-  for (const auto schedule : {kStrands, kWaves}) {
-    ConcurrentBlockStore store;
-    {
-      ParallelEncoder first(params, kBlockSize, &store, 4, 0, schedule);
-      first.append_all({blocks.begin(), blocks.begin() + 203});
-    }
-    // A brand-new encoder (fresh process) resumes at block 203 — not a
-    // multiple of s = 5, so it restarts mid-column.
-    ParallelEncoder second(params, kBlockSize, &store, 4, 203, schedule);
-    second.append_all({blocks.begin() + 203, blocks.end()});
-    EXPECT_EQ(second.size(), blocks.size());
-    expect_stores_identical(expected, store);
+  ConcurrentBlockStore store;
+  ThreadPool pool(4);
+  {
+    ParallelEncoder first(params, kBlockSize, &store, &pool);
+    first.append_all({blocks.begin(), blocks.begin() + 203});
   }
+  // A brand-new encoder (fresh process) resumes at block 203 — not a
+  // multiple of s = 5, so it restarts mid-column.
+  ParallelEncoder second(params, kBlockSize, &store, &pool, 203);
+  second.append_all({blocks.begin() + 203, blocks.end()});
+  EXPECT_EQ(second.size(), blocks.size());
+  expect_stores_identical(expected, store);
 }
 
 TEST(ParallelEncoder, RejectsWrongBlockSize) {
   ConcurrentBlockStore store;
-  ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, 2);
-  EXPECT_THROW(enc.append(Bytes(kBlockSize + 1, 0)), CheckError);
+  ThreadPool pool(2);
+  ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
+  EXPECT_THROW(enc.append_all({Bytes(kBlockSize + 1, 0)}), CheckError);
   EXPECT_THROW(enc.append_all({Bytes(kBlockSize, 0), Bytes(1, 0)}),
                CheckError);
 }
