@@ -17,7 +17,6 @@
 
 #include "common/rng.h"
 #include "core/codec/encoder.h"
-#include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
 
@@ -40,7 +39,7 @@ std::vector<Bytes> make_blocks(std::size_t count, std::size_t block_size) {
 }
 
 bool stores_match(const InMemoryBlockStore& expected,
-                  const pipeline::ConcurrentBlockStore& actual) {
+                  const InMemoryBlockStore& actual) {
   if (expected.size() != actual.size()) return false;
   bool ok = true;
   expected.for_each([&](const BlockKey& key, const Bytes& value) {
@@ -67,7 +66,7 @@ void run(const CodeParams& params, const std::vector<Bytes>& blocks,
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}, std::size_t{8}}) {
     pipeline::ThreadPool pool(threads);
-    pipeline::ConcurrentBlockStore store;
+    InMemoryBlockStore store;
     pipeline::ParallelEncoder parallel(params, block_size, &store, &pool);
     const auto start = Clock::now();
     parallel.append_all(blocks);

@@ -32,7 +32,7 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "core/codec/file_block_store.h"
-#include "pipeline/concurrent_block_store.h"
+#include "pipeline/locked_block_store.h"
 
 namespace {
 

@@ -4,7 +4,7 @@
 // repair is an independent XOR of two available blocks).
 //
 // Two backend sections:
-//   · in-memory ConcurrentBlockStore (pure compute scaling);
+//   · in-memory InMemoryBlockStore (pure compute scaling);
 //   · file-backed — LockedBlockStore-over-FileBlockStore (the single
 //     mutex every worker fights for) vs ShardedFileBlockStore(8)
 //     (per-shard mutexes + batched wave I/O), which is where the sharded
@@ -34,7 +34,7 @@
 #include "core/codec/encoder.h"
 #include "core/codec/file_block_store.h"
 #include "core/codec/sharded_file_block_store.h"
-#include "pipeline/concurrent_block_store.h"
+#include "pipeline/locked_block_store.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
 
@@ -217,7 +217,7 @@ void run_memory(const CodeParams& params, std::size_t count,
 
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}, std::size_t{8}}) {
-      pipeline::ConcurrentBlockStore store;
+      InMemoryBlockStore store;
       fill_from(pristine, store);
       pattern.apply(lat, store);
       pipeline::ThreadPool pool(threads);

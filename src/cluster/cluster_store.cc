@@ -188,24 +188,13 @@ void ClusterStore::put(const BlockKey& key, Bytes value) {
   Node& n = node_for(key);
   n.count_write(value.size());
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    n.staged->put(key, std::move(value));
-    return;
-  }
-  n.child->put(key, std::move(value));
+  n.target().put(key, std::move(value));
 }
 
 const Bytes* ClusterStore::find(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  const Bytes* value = nullptr;
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    value = n.staged->find(key);
-  } else {
-    value = n.child->find(key);
-  }
+  const Bytes* value = n.target().find(key);
   if (value != nullptr) n.count_read(value->size());
   return value;
 }
@@ -213,21 +202,13 @@ const Bytes* ClusterStore::find(const BlockKey& key) const {
 bool ClusterStore::contains(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    return n.staged->contains(key);
-  }
-  return n.child->contains(key);
+  return n.target().contains(key);
 }
 
 bool ClusterStore::erase(const BlockKey& key) {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    return n.staged->erase(key);
-  }
-  return n.child->erase(key);
+  return n.target().erase(key);
 }
 
 std::uint64_t ClusterStore::size() const {
@@ -235,12 +216,7 @@ std::uint64_t ClusterStore::size() const {
   for (const auto& node_ptr : nodes_) {
     Node& n = *node_ptr;
     std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      total += n.staged->size();
-    } else {
-      total += n.child->size();
-    }
+    total += n.target().size();
   }
   return total;
 }
@@ -248,14 +224,7 @@ std::uint64_t ClusterStore::size() const {
 std::optional<Bytes> ClusterStore::get_copy(const BlockKey& key) const {
   Node& n = node_for(key);
   std::shared_lock lock(n.mu);
-  std::optional<Bytes> result;
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    const Bytes* value = n.staged->find(key);
-    if (value != nullptr) result = *value;
-  } else {
-    result = n.child->get_copy(key);
-  }
+  std::optional<Bytes> result = n.target().get_copy(key);
   if (result) n.count_read(result->size());
   return result;
 }
@@ -270,22 +239,11 @@ std::vector<std::optional<Bytes>> ClusterStore::get_batch(
   for (std::size_t k = 0; k < nodes_.size(); ++k) {
     if (by_node[k].empty()) continue;
     Node& n = *nodes_[k];
-    std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      for (const std::size_t i : by_node[k]) {
-        const Bytes* value = n.staged->find(keys[i]);
-        if (value != nullptr) {
-          n.count_read(value->size());
-          payloads[i] = *value;
-        }
-      }
-      continue;
-    }
     std::vector<BlockKey> sub;
     sub.reserve(by_node[k].size());
     for (const std::size_t i : by_node[k]) sub.push_back(keys[i]);
-    std::vector<std::optional<Bytes>> got = n.child->get_batch(sub);
+    std::shared_lock lock(n.mu);
+    std::vector<std::optional<Bytes>> got = n.target().get_batch(sub);
     for (std::size_t j = 0; j < by_node[k].size(); ++j) {
       if (got[j]) n.count_read(got[j]->size());
       payloads[by_node[k][j]] = std::move(got[j]);
@@ -317,13 +275,7 @@ void ClusterStore::put_batch(std::vector<std::pair<BlockKey, Bytes>> items) {
     Node& n = *nodes_[k];
     for (const auto& [key, value] : by_node[k]) n.count_write(value.size());
     std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      for (auto& [key, value] : by_node[k])
-        n.staged->put(key, std::move(value));
-      continue;
-    }
-    n.child->put_batch(std::move(by_node[k]));
+    n.target().put_batch(std::move(by_node[k]));
   }
 }
 
@@ -359,12 +311,7 @@ bool ClusterStore::for_each_key(
   for (const auto& node_ptr : nodes_) {
     Node& n = *node_ptr;
     std::shared_lock lock(n.mu);
-    if (n.staged) {
-      std::lock_guard staged_lock(n.staged_mu);
-      n.staged->for_each_key(fn);
-      continue;
-    }
-    if (!n.child->for_each_key(fn)) return false;  // raced a fail/heal
+    if (!n.target().for_each_key(fn)) return false;  // raced a fail/heal
   }
   return true;
 }
@@ -454,11 +401,7 @@ std::uint64_t ClusterStore::node_blocks(std::uint32_t node) const {
   AEC_CHECK_MSG(node < nodes_.size(), "no node " << node);
   Node& n = *nodes_[node];
   std::shared_lock lock(n.mu);
-  if (n.staged) {
-    std::lock_guard staged_lock(n.staged_mu);
-    return n.staged->size();
-  }
-  return n.child->size();
+  return n.target().size();
 }
 
 void ClusterStore::fail_node(std::uint32_t node) {
@@ -528,7 +471,6 @@ void ClusterStore::replace_node(std::uint32_t node) {
 }
 
 void ClusterStore::flush_staged(Node& n) {
-  std::lock_guard staged_lock(n.staged_mu);
   n.staged->for_each([&](const BlockKey& key, const Bytes& value) {
     n.child->put(key, value);  // child notifies "present" itself
   });

@@ -39,7 +39,8 @@
 // Thread safety: thread_safe() is inherited from the children (all
 // thread-safe children → routed operations may run concurrently; the
 // per-node state is guarded by a shared_mutex that fail/heal/replace
-// take exclusively, and the staging overlay by its own mutex).
+// take exclusively; the staging overlay is a thread-safe
+// InMemoryBlockStore, so routed ops reach it under the shared lock).
 #pragma once
 
 #include <atomic>
@@ -162,19 +163,25 @@ class ClusterStore final : public BlockStore {
     std::filesystem::path dir;
     std::string domain;
     std::unique_ptr<BlockStore> child;
-    /// Degraded-mode write staging; non-null exactly while down.
+    /// Degraded-mode write staging; non-null exactly while down. The
+    /// pointer changes only under the exclusive `mu`; its contents need
+    /// no further lock (InMemoryBlockStore is thread-safe), so routed
+    /// ops under the shared `mu` reach it directly.
     std::unique_ptr<InMemoryBlockStore> staged;
     /// Exclusive: fail/heal/replace and domain edits. Shared: routed ops.
     mutable std::shared_mutex mu;
-    /// Guards `staged` contents (InMemoryBlockStore is not itself
-    /// thread-safe; routed ops only hold the shared node lock).
-    mutable std::mutex staged_mu;
     /// Traffic tallies (NodeTraffic fields, relaxed atomics so routed
     /// ops never take an extra lock).
     std::atomic<std::uint64_t> blocks_read{0};
     std::atomic<std::uint64_t> bytes_read{0};
     std::atomic<std::uint64_t> blocks_written{0};
     std::atomic<std::uint64_t> bytes_written{0};
+
+    /// Where routed ops land: the staging overlay while down, else the
+    /// child. Caller holds `mu` (shared suffices).
+    BlockStore& target() const noexcept {
+      return staged ? static_cast<BlockStore&>(*staged) : *child;
+    }
 
     void count_read(std::uint64_t bytes) noexcept {
       blocks_read.fetch_add(1, std::memory_order_relaxed);

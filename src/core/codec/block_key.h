@@ -41,7 +41,7 @@ struct BlockKeyHash {
 };
 
 /// BlockKeyHash run through a murmur finalizer — the shard/stripe picker
-/// used by every striped structure (ConcurrentBlockStore,
+/// used by every striped structure (InMemoryBlockStore,
 /// ShardedFileBlockStore, AvailabilityIndex). BlockKeyHash keeps the
 /// index in the high bits; the re-mix makes adjacent lattice indices
 /// land on different shards.

@@ -8,8 +8,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -137,16 +137,40 @@ class BlockStore {
   Observer* observer_ = nullptr;
 };
 
-/// Hash-map backed store.
+/// Hash-map backed store, safe to share between threads. Keys spread
+/// over kStripes lock stripes by mixed_block_key_hash, so concurrent
+/// calls serialize only when their keys share a stripe (the s bucket
+/// seals of one encode wave, or the steps of one repair wave, rarely
+/// do). Each stripe owns a node-based map, so a pointer returned by
+/// find() stays valid until *that key* is erased or overwritten — a
+/// stronger guarantee than the base interface. Moving a store leaves
+/// the source fit only for destruction or assignment.
 class InMemoryBlockStore final : public BlockStore {
  public:
+  static constexpr std::size_t kStripes = 16;
+
+  InMemoryBlockStore();
+  ~InMemoryBlockStore() override;
+  InMemoryBlockStore(InMemoryBlockStore&&) noexcept;
+  InMemoryBlockStore& operator=(InMemoryBlockStore&&) noexcept;
+
   void put(const BlockKey& key, Bytes value) override;
   const Bytes* find(const BlockKey& key) const override;
   bool contains(const BlockKey& key) const override;
   bool erase(const BlockKey& key) override;
   std::uint64_t size() const override;
+  std::optional<Bytes> get_copy(const BlockKey& key) const override;
+  /// Both batch calls group the keys per stripe and take each stripe
+  /// lock once per batch.
+  std::vector<std::optional<Bytes>> get_batch(
+      const std::vector<BlockKey>& keys) const override;
+  void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override;
+  bool thread_safe() const noexcept override { return true; }
 
-  /// Visits every stored (key, value) pair.
+  /// Visits every stored (key, value) pair, one stripe at a time under
+  /// that stripe's lock. The callback must not reenter the store;
+  /// writers may slip between stripes, so quiesce them for an exact
+  /// snapshot.
   void for_each(
       const std::function<void(const BlockKey&, const Bytes&)>& fn) const;
 
@@ -154,7 +178,12 @@ class InMemoryBlockStore final : public BlockStore {
       const std::function<void(const BlockKey&)>& fn) const override;
 
  private:
-  std::unordered_map<BlockKey, Bytes, BlockKeyHash> blocks_;
+  struct Stripe;
+  static std::size_t stripe_index(const BlockKey& key) noexcept {
+    return mixed_block_key_hash(key) & (kStripes - 1);
+  }
+  Stripe& stripe_of(const BlockKey& key) const noexcept;
+  std::unique_ptr<Stripe[]> stripes_;
 };
 
 }  // namespace aec

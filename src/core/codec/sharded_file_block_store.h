@@ -1,7 +1,7 @@
 // Sharded durable block store: N directory shards, each with its own
 // mutex, presence index and payload cache.
 //
-// This is the file-backed analogue of pipeline::ConcurrentBlockStore's
+// This is the file-backed analogue of InMemoryBlockStore's
 // striped locking: concurrent pipeline workers contend only when their
 // keys hash to the same shard, unlike the LockedBlockStore-over-
 // FileBlockStore path whose single mutex serializes every file put/read.

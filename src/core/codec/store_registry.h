@@ -5,7 +5,8 @@
 // --store flag reaches every registered backend without new code.
 //
 // Built-in families:
-//   mem        — InMemoryBlockStore (ephemeral; tests and simulations)
+//   mem        — InMemoryBlockStore (ephemeral, lock-striped and natively
+//                thread-safe; tests, simulations and the benchmark)
 //   file       — FileBlockStore (one flat directory tree, single-threaded;
 //                Archive wraps it in a LockedBlockStore when parallel)
 //   sharded(N) — ShardedFileBlockStore with N directory shards, natively

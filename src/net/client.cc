@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <arpa/inet.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -22,6 +23,32 @@ namespace {
 /// stay below the server's default admission limit with headroom for
 /// other clients.
 constexpr std::size_t kPutPipelineWindow = 8;
+
+/// A connect() interrupted by a signal (which SO_SNDTIMEO makes possible
+/// even under SA_RESTART, see signal(7)) carries on in the background and
+/// cannot be re-issued: a second call answers EALREADY or EISCONN. Wait
+/// for the socket to turn writable, then read the outcome from SO_ERROR.
+/// Returns 0 on success, else -1 with errno set.
+int await_interrupted_connect(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLOUT, 0};
+  for (;;) {
+    const int n = ::poll(&pfd, 1, timeout_ms > 0 ? timeout_ms : -1);
+    if (n > 0) break;
+    if (n == 0) {
+      errno = ETIMEDOUT;
+      return -1;
+    }
+    if (errno != EINTR) return -1;
+  }
+  int err = 0;
+  socklen_t len = sizeof err;
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0) return -1;
+  if (err != 0) {
+    errno = err;
+    return -1;
+  }
+  return 0;
+}
 
 }  // namespace
 
@@ -68,10 +95,11 @@ Client::Client(ClientConfig config)
   AEC_CHECK_MSG(
       ::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) == 1,
       "bad host address '" << config_.host << "'");
-  AEC_CHECK_MSG(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof addr) == 0,
-                "connect " << config_.host << ":" << config_.port << ": "
-                           << std::strerror(errno));
+  int rc = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
+  if (rc != 0 && errno == EINTR)
+    rc = await_interrupted_connect(fd_, config_.timeout_ms);
+  AEC_CHECK_MSG(rc == 0, "connect " << config_.host << ":" << config_.port
+                                    << ": " << std::strerror(errno));
   const int one = 1;
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }

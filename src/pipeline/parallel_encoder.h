@@ -17,8 +17,9 @@
 //   · cache misses (fresh strands, crash recovery via drop_head_cache())
 //     are resolved by the coordinator *before* workers run, so workers
 //     never read the store — they only put().
-// The store must therefore have a thread-safe put(): use
-// ConcurrentBlockStore or wrap any serial store in LockedBlockStore.
+// The store must therefore have a thread-safe put(): any store whose
+// thread_safe() is true (InMemoryBlockStore, ShardedFileBlockStore), or
+// a serial one wrapped in LockedBlockStore.
 //
 // Error model: an exception in any task (e.g. a store write failure) is
 // rethrown on the coordinator at the batch barrier; the encoder is then

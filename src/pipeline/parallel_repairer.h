@@ -12,11 +12,12 @@
 //   · every step's inputs were chosen by the planner against wave-start
 //     availability, so a worker never reads a block another wave-w worker
 //     is writing;
-//   · workers read through BlockStore::get_copy() and write through
-//     put(), both of which thread-safe stores (ConcurrentBlockStore,
-//     LockedBlockStore) synchronize internally. With more than one
-//     worker the store must be one of those; a single-threaded repairer
-//     works on any store.
+//   · workers read through BlockStore::get_copy()/get_batch() and write
+//     through put()/put_batch(), which thread-safe stores
+//     (InMemoryBlockStore, ShardedFileBlockStore, LockedBlockStore)
+//     synchronize internally. With more than one worker the store's
+//     thread_safe() must be true; a single-threaded repairer works on
+//     any store.
 //
 // Error model: an exception in any step (e.g. a store write failure) is
 // rethrown on the coordinator at the wave barrier; already-repaired

@@ -69,7 +69,7 @@
 #include "core/codec/block_store.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "pipeline/concurrent_block_store.h"
+#include "pipeline/locked_block_store.h"
 
 namespace aec::tools {
 
@@ -359,8 +359,8 @@ class Archive {
   /// Registry-built backend ("file", "sharded(N)", "mem").
   std::unique_ptr<BlockStore> store_;
   /// Single-mutex wrapper, built only when the backend is not itself
-  /// thread-safe (FileBlockStore, InMemoryBlockStore); sharded backends
-  /// are used directly.
+  /// thread-safe ("file", and clusters of "file" children); "mem",
+  /// "sharded(N)" and clusters of those are used directly.
   std::unique_ptr<pipeline::LockedBlockStore> locked_store_;
   /// What the session reads/writes: locked_store_ when present, else
   /// store_.

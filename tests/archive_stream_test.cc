@@ -433,7 +433,7 @@ TEST_F(ArchiveStreamTest, StripedTailStripeSurvivesCrashMidPut) {
 TEST_F(ArchiveStreamTest, SessionOutlivesTemporaryEngine) {
   // The session must keep a shared-owned engine (and its pool) alive
   // even when the caller's only reference is a temporary.
-  pipeline::ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   auto session = Engine::with_threads(2)->open_session(
       make_codec("AE(3,2,5)"), &store, 64);
   Rng rng(12);

@@ -6,6 +6,7 @@
 // concurrent suites run under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -394,6 +395,52 @@ TEST_F(ClusterStoreTest, ConcurrentRoutedOpsWithShardedChildren) {
   for (std::uint32_t k = 0; k < store.node_count(); ++k)
     total += store.node_blocks(k);
   EXPECT_EQ(total, static_cast<std::uint64_t>(3 * kPerThread));
+}
+
+TEST_F(ClusterStoreTest, ConcurrentBatchOpsWithMemChildrenAndStagedNode) {
+  // TSan coverage for the staging overlay: node 2 stays down, so its
+  // share of every batch lands in (and is read back from) the staged
+  // InMemoryBlockStore from three threads at once, while a fourth fails
+  // and heals node 1. mem children make the cluster thread-safe.
+  ClusterStore store(dir("c"), 4, PlacementPolicy::kRandom, "mem", 0);
+  ASSERT_TRUE(store.thread_safe());
+  store.fail_node(2);
+  constexpr NodeIndex kPerThread = 120;
+  const auto payload = [](NodeIndex idx) {
+    return Bytes(8, static_cast<std::uint8_t>(idx & 0xFF));
+  };
+  std::atomic<int> bad{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&, t] {
+      for (NodeIndex i = 1; i <= kPerThread; i += 8) {
+        std::vector<std::pair<BlockKey, Bytes>> items;
+        std::vector<BlockKey> keys;
+        for (NodeIndex j = i; j < i + 8; ++j) {
+          const auto idx = static_cast<NodeIndex>(t * kPerThread + j);
+          items.emplace_back(BlockKey::data(idx), payload(idx));
+          keys.push_back(BlockKey::data(idx));
+        }
+        store.put_batch(std::move(items));
+        const auto got = store.get_batch(keys);
+        for (std::size_t j = 0; j < keys.size(); ++j)
+          if (got[j] && *got[j] != payload(keys[j].index)) bad.fetch_add(1);
+      }
+    });
+  }
+  workers.emplace_back([&] {
+    for (int round = 0; round < 10; ++round) {
+      store.fail_node(1);
+      store.heal_node(1);
+    }
+  });
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(store.node_blocks(2), 0u);  // staged while down
+  store.heal_node(2);
+  EXPECT_EQ(store.size(), static_cast<std::uint64_t>(3 * kPerThread));
+  for (NodeIndex idx = 1; idx <= 3 * kPerThread; ++idx)
+    EXPECT_EQ(store.get_copy(BlockKey::data(idx)), payload(idx)) << idx;
 }
 
 // --- acceptance: a cluster archive survives one full node failure -----------

@@ -8,7 +8,10 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <pthread.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -575,6 +578,72 @@ TEST_F(NetServerTest, HttpListenerDisabledByDefault) {
   // The SetUp server runs with http_port = -1: nothing to scrape, and
   // http_port() reports 0.
   EXPECT_EQ(server_->http_port(), 0u);
+}
+
+volatile sig_atomic_t g_alarms = 0;
+void count_alarm(int) { g_alarms = g_alarms + 1; }
+
+TEST(NetClientSignalTest, ConnectSurvivesSignalStorm) {
+  // SO_SNDTIMEO makes connect() fail with EINTR when a signal lands,
+  // even under SA_RESTART (signal(7)). The server's threads start with
+  // SIGALRM blocked, so a 10 kHz SIGALRM storm hits only this thread,
+  // the one inside connect(); every connect must still succeed.
+  sigset_t alarm_only;
+  sigemptyset(&alarm_only);
+  sigaddset(&alarm_only, SIGALRM);
+  sigset_t old_mask;
+  ASSERT_EQ(pthread_sigmask(SIG_BLOCK, &alarm_only, &old_mask), 0);
+  const fs::path root = fs::temp_directory_path() /
+                        ("aec_net_signal_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  auto archive = tools::Archive::create(root, "AE(3,2,5)", 1024);
+  ServerConfig server_config;
+  server_config.idle_timeout_ms = 0;
+  Server server(archive.get(), server_config);
+  std::thread server_thread([&server] { server.run(); });
+  ASSERT_EQ(pthread_sigmask(SIG_UNBLOCK, &alarm_only, nullptr), 0);
+
+  struct sigaction action {};
+  action.sa_handler = count_alarm;
+  sigemptyset(&action.sa_mask);
+  action.sa_flags = SA_RESTART;
+  struct sigaction old_action {};
+  ASSERT_EQ(::sigaction(SIGALRM, &action, &old_action), 0);
+  itimerval storm{};
+  storm.it_interval.tv_usec = 100;
+  storm.it_value.tv_usec = 100;
+  itimerval old_timer{};
+  ASSERT_EQ(::setitimer(ITIMER_REAL, &storm, &old_timer), 0);
+
+  ClientConfig config;
+  config.port = server.port();
+  int failures = 0;
+  std::string first_error;
+  for (int i = 0; i < 500; ++i) {
+    try {
+      Client client(config);
+      client.ping();
+    } catch (const std::exception& e) {
+      if (failures++ == 0) first_error = e.what();
+    }
+  }
+
+  // Stop the storm, then drain a SIGALRM still pending before the old
+  // handler (by default: terminate) comes back.
+  ::setitimer(ITIMER_REAL, &old_timer, nullptr);
+  pthread_sigmask(SIG_BLOCK, &alarm_only, nullptr);
+  const timespec no_wait{};
+  while (::sigtimedwait(&alarm_only, nullptr, &no_wait) == SIGALRM) {
+  }
+  ::sigaction(SIGALRM, &old_action, nullptr);
+  pthread_sigmask(SIG_SETMASK, &old_mask, nullptr);
+
+  server.shutdown();
+  server_thread.join();
+  archive.reset();
+  fs::remove_all(root);
+  EXPECT_EQ(failures, 0) << first_error;
+  EXPECT_GT(g_alarms, 0);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include "core/codec/decoder.h"
 #include "core/codec/encoder.h"
 #include "core/codec/repair_planner.h"
-#include "pipeline/concurrent_block_store.h"
 #include "pipeline/parallel_repairer.h"
 #include "pipeline/thread_pool.h"
 #include "tools/archive.h"
@@ -258,7 +257,7 @@ TEST_P(ParallelRepairerEquivalence, ByteIdenticalToSerialRepairAll) {
 
   // Same erasure pattern on both stores.
   InMemoryBlockStore serial_store;
-  pipeline::ConcurrentBlockStore parallel_store;
+  InMemoryBlockStore parallel_store;
   copy_store(pristine, serial_store);
   copy_store(pristine, parallel_store);
   erase_random(lat, loss / 100.0, 1000 + static_cast<std::uint64_t>(loss),
@@ -323,7 +322,7 @@ TEST(ParallelRepairer, ReadNodeRepairsThroughDamagedNeighbourhood) {
   const Lattice lat(params, n, Lattice::Boundary::kOpen);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    pipeline::ConcurrentBlockStore store;
+    InMemoryBlockStore store;
     copy_store(pristine, store);
     store.erase(BlockKey::data(100));
     for (const Edge& e : lat.incident_edges(100))
@@ -342,7 +341,7 @@ TEST(ParallelRepairer, ReadNodeIrrecoverableReturnsNullopt) {
   const CodeParams params = CodeParams::single();
   InMemoryBlockStore pristine;
   encode_random(params, 60, 2, pristine);
-  pipeline::ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   copy_store(pristine, store);
   store.erase(BlockKey::data(30));
   store.erase(BlockKey::data(31));
@@ -358,7 +357,7 @@ TEST(ParallelRepairer, ReportCarriesThroughput) {
   const CodeParams params(3, 2, 5);
   InMemoryBlockStore pristine;
   encode_random(params, 300, 8, pristine);
-  pipeline::ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   copy_store(pristine, store);
   const Lattice lat(params, 300, Lattice::Boundary::kOpen);
   erase_random(lat, 0.2, 5, store);

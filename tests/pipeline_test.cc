@@ -1,5 +1,5 @@
-// Parallel entanglement pipeline: ThreadPool, ConcurrentBlockStore and
-// ParallelEncoder. The load-bearing property is byte-identity — the
+// Parallel entanglement pipeline: ThreadPool, the thread-safe
+// InMemoryBlockStore, LockedBlockStore and ParallelEncoder. The load-bearing property is byte-identity — the
 // strand-pipelined encoder must produce exactly the blocks the serial
 // Encoder produces (paper §V-B: partial writes reorder work, never
 // results).
@@ -9,11 +9,13 @@
 
 #include <atomic>
 #include <filesystem>
+#include <mutex>
+#include <unordered_map>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/codec/encoder.h"
-#include "pipeline/concurrent_block_store.h"
+#include "pipeline/locked_block_store.h"
 #include "pipeline/parallel_encoder.h"
 #include "pipeline/thread_pool.h"
 #include "core/codec/file_block_store.h"
@@ -22,7 +24,6 @@
 namespace aec {
 namespace {
 
-using pipeline::ConcurrentBlockStore;
 using pipeline::LockedBlockStore;
 using pipeline::ParallelEncoder;
 using pipeline::ThreadPool;
@@ -50,7 +51,7 @@ InMemoryBlockStore serial_reference(const CodeParams& params,
 /// Every block of `expected` present and byte-identical in `actual`, and
 /// no extras.
 void expect_stores_identical(const InMemoryBlockStore& expected,
-                             const ConcurrentBlockStore& actual) {
+                             const InMemoryBlockStore& actual) {
   ASSERT_EQ(expected.size(), actual.size());
   expected.for_each([&](const BlockKey& key, const Bytes& value) {
     const auto copy = actual.get_copy(key);
@@ -98,10 +99,10 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
   pool.wait_idle();
 }
 
-// --- ConcurrentBlockStore ---------------------------------------------------
+// --- InMemoryBlockStore under concurrency ----------------------------------
 
-TEST(ConcurrentBlockStore, BasicStoreContract) {
-  ConcurrentBlockStore store;
+TEST(InMemoryBlockStore, BasicStoreContract) {
+  InMemoryBlockStore store;
   const BlockKey key = BlockKey::data(7);
   EXPECT_FALSE(store.contains(key));
   EXPECT_EQ(store.find(key), nullptr);
@@ -118,8 +119,8 @@ TEST(ConcurrentBlockStore, BasicStoreContract) {
   EXPECT_EQ(store.size(), 0u);
 }
 
-TEST(ConcurrentBlockStore, GetCopyAndForEach) {
-  ConcurrentBlockStore store(4);
+TEST(InMemoryBlockStore, GetCopyAndForEach) {
+  InMemoryBlockStore store;
   for (NodeIndex i = 1; i <= 100; ++i)
     store.put(BlockKey::data(i), Bytes(8, static_cast<std::uint8_t>(i)));
   EXPECT_FALSE(store.get_copy(BlockKey::data(999)).has_value());
@@ -134,8 +135,8 @@ TEST(ConcurrentBlockStore, GetCopyAndForEach) {
   EXPECT_EQ(visited, 100u);
 }
 
-TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
-  ConcurrentBlockStore store;
+TEST(InMemoryBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
+  InMemoryBlockStore store;
   ThreadPool pool(8);
   constexpr int kPerThreadKeys = 500;
   for (int t = 0; t < 8; ++t) {
@@ -157,6 +158,105 @@ TEST(ConcurrentBlockStore, ConcurrentPutsFromManyThreadsAllLand) {
   }
 }
 
+/// Records every notification per key, in arrival order.
+class KeyLogObserver final : public BlockStore::Observer {
+ public:
+  void on_block(const BlockKey& key, bool present) override {
+    std::lock_guard lock(mu_);
+    log_[key].push_back(present);
+  }
+  std::unordered_map<BlockKey, std::vector<bool>, BlockKeyHash> take() {
+    std::lock_guard lock(mu_);
+    return std::move(log_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::unordered_map<BlockKey, std::vector<bool>, BlockKeyHash> log_;
+};
+
+TEST(InMemoryBlockStore, MixedOpsFromFourThreadsKeepPerKeyNotifyOrder) {
+  // Four threads share 256 keys (every stripe) and race put_batch,
+  // get_batch, erase and for_each_key on them. Notifications fire under
+  // the stripe lock, so each key's log is in mutation order: an erase is
+  // reported only right after the key was present (erase() of a missing
+  // key notifies nothing), and the last entry matches the final state.
+  constexpr NodeIndex kKeys = 256;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 1500;
+  InMemoryBlockStore store;
+  KeyLogObserver observer;
+  store.set_observer(&observer);
+  const auto payload_of = [](NodeIndex i) {
+    return Bytes(16, static_cast<std::uint8_t>(i % 251));
+  };
+  std::atomic<int> bad_payloads{0};
+  std::atomic<int> bad_keys{0};
+  ThreadPool pool(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    pool.submit([&, t] {
+      Rng rng(900 + static_cast<std::uint64_t>(t));
+      const auto pick = [&] {
+        return static_cast<NodeIndex>(rng.uniform(kKeys) + 1);
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        switch (rng.uniform(4)) {
+          case 0: {
+            std::vector<std::pair<BlockKey, Bytes>> items;
+            for (int j = 0; j < 12; ++j) {  // duplicates allowed
+              const NodeIndex i = pick();
+              items.emplace_back(BlockKey::data(i), payload_of(i));
+            }
+            store.put_batch(std::move(items));
+            break;
+          }
+          case 1: {
+            std::vector<BlockKey> keys;
+            for (int j = 0; j < 12; ++j) keys.push_back(BlockKey::data(pick()));
+            const auto got = store.get_batch(keys);
+            for (std::size_t j = 0; j < keys.size(); ++j)
+              if (got[j] && *got[j] != payload_of(keys[j].index))
+                bad_payloads.fetch_add(1);
+            break;
+          }
+          case 2:
+            store.erase(BlockKey::data(pick()));
+            break;
+          default:
+            store.for_each_key([&](const BlockKey& key) {
+              if (key.index < 1 || key.index > kKeys) bad_keys.fetch_add(1);
+            });
+            break;
+        }
+      }
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(bad_payloads.load(), 0);
+  EXPECT_EQ(bad_keys.load(), 0);
+
+  const auto log = observer.take();
+  std::uint64_t present = 0;
+  for (NodeIndex i = 1; i <= kKeys; ++i) {
+    const BlockKey key = BlockKey::data(i);
+    const bool held = store.contains(key);
+    present += held ? 1 : 0;
+    const auto it = log.find(key);
+    if (it == log.end()) {
+      EXPECT_FALSE(held) << i;
+      continue;
+    }
+    const std::vector<bool>& events = it->second;
+    for (std::size_t e = 0; e < events.size(); ++e)
+      if (!events[e]) {
+        ASSERT_GT(e, 0u) << "key " << i << " erased before any put";
+        ASSERT_TRUE(events[e - 1]) << "key " << i << " erased twice";
+      }
+    EXPECT_EQ(events.back(), held) << "key " << i;
+  }
+  EXPECT_EQ(store.size(), present);
+}
+
 TEST(LockedBlockStore, DelegatesToWrappedStore) {
   InMemoryBlockStore inner;
   LockedBlockStore locked(&inner);
@@ -167,6 +267,53 @@ TEST(LockedBlockStore, DelegatesToWrappedStore) {
   ASSERT_NE(locked.find(BlockKey::data(1)), nullptr);
   EXPECT_TRUE(locked.erase(BlockKey::data(1)));
   EXPECT_EQ(inner.size(), 0u);
+}
+
+/// Counts which write entry point the wrapper reaches.
+class CountingStore final : public BlockStore {
+ public:
+  void put(const BlockKey& key, Bytes value) override {
+    ++puts;
+    inner.put(key, std::move(value));
+  }
+  void put_batch(std::vector<std::pair<BlockKey, Bytes>> items) override {
+    ++put_batches;
+    inner.put_batch(std::move(items));
+  }
+  const Bytes* find(const BlockKey& key) const override {
+    return inner.find(key);
+  }
+  bool contains(const BlockKey& key) const override {
+    return inner.contains(key);
+  }
+  bool erase(const BlockKey& key) override { return inner.erase(key); }
+  std::uint64_t size() const override { return inner.size(); }
+  void set_observer(Observer* observer) override {
+    inner.set_observer(observer);
+  }
+  Observer* observer() const override { return inner.observer(); }
+
+  InMemoryBlockStore inner;
+  int puts = 0;
+  int put_batches = 0;
+};
+
+TEST(LockedBlockStore, PutBatchReachesDelegateAsOneBatch) {
+  CountingStore delegate;
+  LockedBlockStore locked(&delegate);
+  KeyLogObserver observer;
+  locked.set_observer(&observer);
+  std::vector<std::pair<BlockKey, Bytes>> items;
+  for (NodeIndex i = 1; i <= 40; ++i)
+    items.emplace_back(BlockKey::data(i), Bytes{static_cast<std::uint8_t>(i)});
+  locked.put_batch(std::move(items));
+  EXPECT_EQ(delegate.put_batches, 1);
+  EXPECT_EQ(delegate.puts, 0);
+  EXPECT_EQ(delegate.size(), 40u);
+  const auto log = observer.take();
+  EXPECT_EQ(log.size(), 40u);
+  for (const auto& [key, events] : log)
+    EXPECT_EQ(events, std::vector<bool>{true}) << to_string(key);
 }
 
 // --- ParallelEncoder: serial equivalence ------------------------------------
@@ -185,7 +332,7 @@ TEST_P(ParallelEncoderEquivalence, ByteIdenticalToSerialEncoder) {
   const auto blocks = random_blocks(count, 101);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(threads);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   const auto results = enc.append_all(blocks);
@@ -230,7 +377,7 @@ TEST(ParallelEncoder, ResultsMatchSerialAppendResults) {
   Encoder serial(params, kBlockSize, &serial_store);
   const auto expected = serial.append_all(blocks);
 
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(4);
   ParallelEncoder parallel(params, kBlockSize, &store, &pool);
   const auto actual = parallel.append_all(blocks);
@@ -247,7 +394,7 @@ TEST(ParallelEncoder, SingleBlockBatchesInterleaveWithBatches) {
   const auto blocks = random_blocks(100, 23);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(2);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   enc.append_all({blocks[0]});
@@ -258,7 +405,7 @@ TEST(ParallelEncoder, SingleBlockBatchesInterleaveWithBatches) {
 
 TEST(ParallelEncoder, HeadCacheBoundedByStrandCount) {
   const CodeParams params(3, 5, 7);
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(4);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   enc.append_all(random_blocks(300, 31));
@@ -273,7 +420,7 @@ TEST(ParallelEncoder, CrashResumeThroughDropHeadCache) {
   const auto blocks = random_blocks(500, 57);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(4);
   ParallelEncoder enc(params, kBlockSize, &store, &pool);
   std::size_t done = 0;
@@ -295,7 +442,7 @@ TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
   const auto blocks = random_blocks(612, 71);
   const InMemoryBlockStore expected = serial_reference(params, blocks);
 
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(4);
   {
     ParallelEncoder first(params, kBlockSize, &store, &pool);
@@ -310,7 +457,7 @@ TEST(ParallelEncoder, ResumeCountContinuesAnExistingLattice) {
 }
 
 TEST(ParallelEncoder, RejectsWrongBlockSize) {
-  ConcurrentBlockStore store;
+  InMemoryBlockStore store;
   ThreadPool pool(2);
   ParallelEncoder enc(CodeParams(3, 2, 5), kBlockSize, &store, &pool);
   EXPECT_THROW(enc.append_all({Bytes(kBlockSize + 1, 0)}), CheckError);

@@ -203,7 +203,7 @@ TEST_F(ShardedFileBlockStoreTest, RegistryBuildsEveryFamily) {
   EXPECT_TRUE(StoreRegistry::instance().has_family("sharded"));
 
   auto mem = make_store("mem", dir("unused"));
-  EXPECT_FALSE(mem->thread_safe());
+  EXPECT_TRUE(mem->thread_safe());
   auto file = make_store("file", dir("f"));
   EXPECT_NE(dynamic_cast<FileBlockStore*>(file.get()), nullptr);
   auto sharded = make_store("sharded(8)", dir("s8"));

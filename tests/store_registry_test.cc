@@ -102,6 +102,11 @@ TEST_F(StoreRegistryTest, MakeBuildsEveryRegisteredShape) {
   EXPECT_EQ(cluster->child_spec(), "sharded(2)");
   EXPECT_EQ(cluster->placement_seed(), 5u);
   EXPECT_TRUE(cluster->thread_safe());
+  // mem is lock-striped, so mem clusters skip the Archive's global lock;
+  // file children still need it.
+  EXPECT_TRUE(make_store("mem", dir("m"))->thread_safe());
+  EXPECT_TRUE(make_store("cluster(4,strand,mem)", dir("cm"))->thread_safe());
+  EXPECT_FALSE(make_store("cluster(2,rr,file)", dir("cf"))->thread_safe());
 }
 
 TEST_F(StoreRegistryTest, DurabilityClassifiesMemAnywhere) {
